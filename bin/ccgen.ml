@@ -383,16 +383,48 @@ let verify_cmd =
         (Ccplace.Style.name style) bits
         (List.length layout.Ccroute.Layout.wires)
         (List.length layout.Ccroute.Layout.vias)
-    | violations ->
-      List.iter
-        (fun v ->
-           Printf.printf "%s\n" (Format.asprintf "%a" Ccroute.Check.pp_violation v))
-        violations;
+    | found ->
+      List.iter (fun d -> Printf.printf "%s\n" (Format.asprintf "%a" Diag.pp d))
+        found;
       exit 1
   in
   let doc = "Route a placement and run the post-route verification checks." in
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(const run $ bits_arg $ style_arg $ gran_arg $ tech_arg)
+
+(* --- lint and lvs: one report per linted configuration --- *)
+
+type run = {
+  label : string;
+  diags : Diag.t list;
+  clean : string;            (* the text line when [diags] is empty *)
+  json : Telemetry.Json.t;   (* the entry in the JSON document *)
+}
+
+(* Print every run (text, or one multi-run JSON document), then exit 1
+   if any fails the [werror] gate. *)
+let report_runs ~json ~werror runs =
+  if json then
+    print_endline
+      (Telemetry.Json.to_string
+         (Diag.runs_json (List.map (fun r -> r.json) runs)))
+  else begin
+    List.iter
+      (fun r ->
+         match r.diags with
+         | [] -> Printf.printf "%s: %s\n" r.label r.clean
+         | diags ->
+           Printf.printf "%s: %s\n" r.label (Diag.summary_line diags);
+           List.iter
+             (fun d -> Printf.printf "  %s\n" (Format.asprintf "%a" Diag.pp d))
+             (Diag.sort diags))
+      runs;
+    let total = List.length runs in
+    let clean = List.length (List.filter (fun r -> r.diags = []) runs) in
+    if total > 1 then Printf.printf "%d configuration(s), %d clean\n" total clean
+  end;
+  if List.exists (fun r -> Result.is_error (Diag.gate ~werror r.diags)) runs
+  then exit 1
 
 (* --- lint --- *)
 
@@ -422,21 +454,27 @@ let lint_cmd =
     Arg.(value & opt (some string) None & info [ "load" ] ~docv:"FILE" ~doc)
   in
   let print_rules json =
-    if json then print_endline (Verify.Report.json_rules ())
+    if json then
+      print_endline
+        (Telemetry.Json.to_string (Diag.catalogue_json Verify.Engine.rules))
     else
       List.iter
-        (fun (r : Verify.Rule.t) ->
-           Printf.printf "%-34s %-9s %-7s %s\n" r.Verify.Rule.id
-             (Verify.Rule.category_name r.Verify.Rule.category)
-             (Verify.Rule.severity_name r.Verify.Rule.severity)
-             r.Verify.Rule.doc)
-        Verify.Registry.all
+        (fun (r : Diag.rule) ->
+           Printf.printf "%-34s %-9s %-7s %s\n" r.Diag.id r.Diag.category
+             (Diag.severity_name r.Diag.severity)
+             r.Diag.doc)
+        Verify.Engine.rules
   in
-  (* one linted configuration: label + diagnostics *)
+  (* one linted configuration *)
+  let lint_run label diags =
+    { label; diags; clean = "clean";
+      json = Diag.to_json ~head:[ ("label", Telemetry.Json.Str label) ] diags }
+  in
   let lint_style tech bits style =
     let parallel = Ccdac.Flow.default_parallel ~bits style in
-    let label = Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits in
-    (label, Verify.Engine.lint ~parallel ~tech ~bits style)
+    lint_run
+      (Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits)
+      (Verify.Engine.lint ~parallel ~tech ~bits style)
   in
   let run bits style granularity tech json werror all rules load =
     if rules then print_rules json
@@ -449,7 +487,7 @@ let lint_cmd =
               Printf.eprintf "ccgen: %s: %s\n" path msg;
               exit 2
             | Ok placement ->
-              [ (path, Verify.Engine.lint_placement ~tech placement) ]
+              [ lint_run path (Verify.Engine.lint_placement ~tech placement) ]
           end
         | None when all ->
           List.concat_map
@@ -463,41 +501,7 @@ let lint_cmd =
           check_bits bits;
           [ lint_style tech bits (resolve_style ~bits ~granularity style) ]
       in
-      if json then begin
-        print_string "{\"version\": 1, \"runs\": [";
-        List.iteri
-          (fun i (label, diags) ->
-             if i > 0 then print_string ", ";
-             print_string (Verify.Report.json ~label diags))
-          runs;
-        print_endline "]}"
-      end
-      else
-        List.iter
-          (fun (label, diags) ->
-             match diags with
-             | [] -> Printf.printf "%s: clean\n" label
-             | diags ->
-               Printf.printf "%s: %s\n" label (Verify.Report.summary_line diags);
-               List.iter
-                 (fun d ->
-                    Printf.printf "  %s\n"
-                      (Format.asprintf "%a" Verify.Diagnostic.pp d))
-                 (Verify.Diagnostic.sort diags))
-          runs;
-      let dirty =
-        List.exists
-          (fun (_, diags) ->
-             Result.is_error (Verify.Engine.gate ~werror diags))
-          runs
-      in
-      if not json then begin
-        let total = List.length runs in
-        let clean = List.length (List.filter (fun (_, d) -> d = []) runs) in
-        if total > 1 then
-          Printf.printf "%d configuration(s), %d clean\n" total clean
-      end;
-      if dirty then exit 1
+      report_runs ~json ~werror runs
     end
   in
   let doc =
@@ -535,7 +539,13 @@ let lvs_cmd =
         ~p_of_cap:(Ccdac.Flow.default_parallel ~bits style) p
     in
     let label = Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits in
-    (label, Lvs.Check.run layout)
+    let r = Lvs.Check.run layout in
+    let s = r.Lvs.Check.stats in
+    { label; diags = r.Lvs.Check.diagnostics;
+      clean =
+        Printf.sprintf "clean (%d shapes, %d contacts, %d components)"
+          s.Lvs.Check.shapes s.Lvs.Check.contacts s.Lvs.Check.components;
+      json = Lvs.Check.to_json ~label r }
   in
   let run bits style granularity tech json werror all =
     let runs =
@@ -551,58 +561,7 @@ let lvs_cmd =
         [ lvs_style tech granularity bits style ]
       end
     in
-    if json then begin
-      print_string "{\"version\": 1, \"runs\": [";
-      List.iteri
-        (fun i (label, (r : Lvs.Check.result)) ->
-           if i > 0 then print_string ", ";
-           Printf.printf
-             "{\"label\": \"%s\", \"stats\": {\"shapes\": %d, \
-              \"contacts\": %d, \"components\": %d}, \"report\": %s}"
-             label r.Lvs.Check.stats.Lvs.Check.shapes
-             r.Lvs.Check.stats.Lvs.Check.contacts
-             r.Lvs.Check.stats.Lvs.Check.components
-             (Verify.Report.json r.Lvs.Check.diagnostics))
-        runs;
-      print_endline "]}"
-    end
-    else
-      List.iter
-        (fun (label, (r : Lvs.Check.result)) ->
-           let s = r.Lvs.Check.stats in
-           match r.Lvs.Check.diagnostics with
-           | [] ->
-             Printf.printf
-               "%s: clean (%d shapes, %d contacts, %d components)\n" label
-               s.Lvs.Check.shapes s.Lvs.Check.contacts s.Lvs.Check.components
-           | diags ->
-             Printf.printf "%s: %s\n" label (Verify.Report.summary_line diags);
-             List.iter
-               (fun d ->
-                  Printf.printf "  %s\n"
-                    (Format.asprintf "%a" Verify.Diagnostic.pp d))
-               (Verify.Diagnostic.sort diags))
-        runs;
-    let dirty =
-      List.exists
-        (fun (_, (r : Lvs.Check.result)) ->
-           Result.is_error
-             (Verify.Engine.gate ~werror r.Lvs.Check.diagnostics))
-        runs
-    in
-    if not json then begin
-      let total = List.length runs in
-      let clean =
-        List.length
-          (List.filter
-             (fun (_, (r : Lvs.Check.result)) ->
-                r.Lvs.Check.diagnostics = [])
-             runs)
-      in
-      if total > 1 then
-        Printf.printf "%d configuration(s), %d clean\n" total clean
-    end;
-    if dirty then exit 1
+    report_runs ~json ~werror runs
   in
   let doc =
     "Extract whole-layout connectivity with the sweepline engine and certify \
@@ -1353,5 +1312,5 @@ let () =
   try exit (Cmd.eval ~catch:false main)
   with Verify.Engine.Rejected { what; diagnostics } ->
     Printf.eprintf "ccgen: %s rejected:\n" what;
-    prerr_string (Verify.Report.text diagnostics);
+    prerr_string (Diag.text diagnostics);
     exit 1

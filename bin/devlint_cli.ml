@@ -70,8 +70,9 @@ let prune ~root ~allowlist_path (result : Srclint.Engine.result) =
       (fun (s : Srclint.Engine.suppression) ->
          if
            s.Srclint.Engine.matched = 0
-           && List.mem s.Srclint.Engine.entry.Srclint.Allowlist.rule_id
-                Srclint.Registry.ids
+           && Diag.find Srclint.Engine.rules
+                s.Srclint.Engine.entry.Srclint.Allowlist.rule_id
+              <> None
          then Some s.Srclint.Engine.entry.Srclint.Allowlist.line
          else None)
       result.Srclint.Engine.suppressions
@@ -98,8 +99,8 @@ let prune ~root ~allowlist_path (result : Srclint.Engine.result) =
 let run root werror json rules allowlist_path no_allowlist list_rules
     typed_flag no_typed prune_flag =
   if list_rules then begin
-    if json then print_string (Srclint.Report.json_rules ())
-    else Format.printf "%a" Srclint.Report.pp_rules ();
+    if json then print_string (Srclint.Engine.rules_json ())
+    else List.iter (Format.printf "%a@." Diag.pp_rule) Srclint.Engine.rules;
     exit 0
   end;
   if typed_flag && no_typed then begin
@@ -126,7 +127,7 @@ let run root werror json rules allowlist_path no_allowlist list_rules
   in
   (match rules with
    | Some patterns -> begin
-       match Srclint.Registry.pattern_selects_nothing patterns with
+       match Diag.unmatched_patterns Srclint.Engine.rules patterns with
        | [] -> ()
        | bad ->
          Printf.eprintf "cclint: --rules selects no known rule: %s\n"
@@ -167,9 +168,9 @@ let run root werror json rules allowlist_path no_allowlist list_rules
   end;
   if prune_flag then prune ~root ~allowlist_path result
   else begin
-    if json then print_string (Srclint.Report.json result)
-    else print_string (Srclint.Report.text result);
-    if Srclint.Engine.has_findings ~werror result.Srclint.Engine.diagnostics
+    print_string
+      ((if json then Srclint.Engine.json else Srclint.Engine.text) result);
+    if Result.is_error (Diag.gate ~werror result.Srclint.Engine.diagnostics)
     then exit 1
   end
 

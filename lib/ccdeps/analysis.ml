@@ -71,7 +71,7 @@ let taint ~manifest graph mods =
                 | None -> None
                 | Some (names, (source, sline)) ->
                   Some
-                    (Srclint.Diagnostic.makef ~rule:(rule_of_kind kind)
+                    (Srclint.Source.diagf ~rule:(rule_of_kind kind)
                        ~file:d.Summary.d_file ~line:d.Summary.d_line
                        "%s reaches %s (%s taint, source at line %d of the \
                         chain's last file): %s"
@@ -120,7 +120,7 @@ let escape ~manifest graph mods =
     Printf.ksprintf
       (fun detail ->
          emit :=
-           Srclint.Diagnostic.make ~rule:Srclint.Typed_rules.domain_escape
+           Srclint.Source.diag ~rule:Srclint.Typed_rules.domain_escape
              ~file ~line detail
            :: !emit)
       fmt
@@ -278,7 +278,7 @@ let layering ~manifest ~libs edges =
   let diag rule ~file ~line fmt =
     Printf.ksprintf
       (fun detail ->
-         out := Srclint.Diagnostic.make ~rule ~file ~line detail :: !out)
+         out := Srclint.Source.diag ~rule ~file ~line detail :: !out)
       fmt
   in
   List.iter

@@ -10,7 +10,7 @@ type universe = {
   lib_of_module : string -> string option;
       (* canonical head module ("Ccplace") -> lib dir ("ccplace") *)
   cmt_count : int;
-  errors : Srclint.Diagnostic.t list;
+  errors : Diag.t list;
 }
 
 let readdir_sorted path =
@@ -96,7 +96,7 @@ let load ~root =
             | Ok None -> ()
             | Error detail ->
               errors :=
-                Srclint.Diagnostic.make
+                Srclint.Source.diag
                   ~rule:Srclint.Typed_rules.cmt_error
                   ~file:(Filename.concat "lib" lib) ~line:0 detail
                 :: !errors)

@@ -8,7 +8,7 @@ type universe = {
   lib_of_module : string -> string option;
       (** canonical head module (["Ccplace"]) to lib dir (["ccplace"]) *)
   cmt_count : int;  (** cmt files seen, loadable or not *)
-  errors : Srclint.Diagnostic.t list;  (** [meta/cmt-error] findings *)
+  errors : Diag.t list;  (** [meta/cmt-error] findings *)
 }
 
 (** [available ~root]: at least one [.cmt] exists under

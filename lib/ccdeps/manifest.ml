@@ -124,7 +124,7 @@ let validate t ~libs =
     Printf.ksprintf
       (fun detail ->
          out :=
-           Srclint.Diagnostic.make ~rule:Srclint.Typed_rules.manifest_error
+           Srclint.Source.diag ~rule:Srclint.Typed_rules.manifest_error
              ~file:t.file ~line:loc.dline detail
            :: !out)
       fmt

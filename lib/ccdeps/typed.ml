@@ -19,7 +19,7 @@ let load_manifest ~root =
 let run ~root =
   match load_manifest ~root with
   | Error msg ->
-    [ Srclint.Diagnostic.make ~rule:Srclint.Typed_rules.manifest_error
+    [ Srclint.Source.diag ~rule:Srclint.Typed_rules.manifest_error
         ~file:manifest_name ~line:0 msg ]
   | Ok manifest ->
     let u = Cmts.load ~root in

@@ -1,5 +1,5 @@
 (** The typed whole-program pass: [.ccdeps] manifest + every [.cmt]
-    under [_build/default/lib] in, {!Srclint.Diagnostic.t}s out. *)
+    under [_build/default/lib] in, {!Diag.t}s out. *)
 
 (** [".ccdeps"] — the manifest's repo-relative path. *)
 val manifest_name : string
@@ -9,4 +9,4 @@ val available : root:string -> bool
 
 (** [run ~root] is the full diagnostic list: manifest problems, cmt load
     failures, and the taint / domain-escape / layering findings. *)
-val run : root:string -> Srclint.Diagnostic.t list
+val run : root:string -> Diag.t list

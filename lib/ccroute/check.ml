@@ -1,11 +1,47 @@
 open Ccgrid
 
-type violation = {
-  rule : string;
-  detail : string;
-}
+let route id doc =
+  { Diag.id = "route/" ^ id; category = "routing"; severity = Diag.Error; doc }
 
-let pp_violation ppf v = Format.fprintf ppf "[%s] %s" v.rule v.detail
+let r_wire_in_outline =
+  route "wire-in-outline"
+    "Every wire (bottom and top plate) must lie inside the routed block's \
+     outline."
+
+let r_via_in_outline =
+  route "via-in-outline" "Every logical via must lie inside the outline."
+
+let r_trunk_in_channel =
+  route "trunk-in-channel"
+    "Every trunk must sit inside the x extent of the channel its track \
+     belongs to."
+
+let r_track_separation =
+  route "track-separation"
+    "Two trunks sharing a channel must be at least half the sum of their \
+     bundle widths apart."
+
+let r_net_routed = route "net-routed" "Every capacitor must have a trunk."
+
+let r_net_coverage =
+  route "net-coverage"
+    "The connected groups of each capacitor's net must cover exactly its \
+     placed cells."
+
+let r_parallel_consistency =
+  route "parallel-consistency"
+    "Bundle widths recorded on wires and vias must match the declared \
+     parallel-wire plan."
+
+let r_reserved_direction =
+  route "reserved-direction"
+    "Wires must respect their layer's reserved direction (trunks vertical, \
+     bridges and stubs horizontal)."
+
+let rules =
+  [ r_wire_in_outline; r_via_in_outline; r_trunk_in_channel;
+    r_track_separation; r_net_routed; r_net_coverage; r_parallel_consistency;
+    r_reserved_direction ]
 
 let check_outline (layout : Layout.t) out =
   let eps = 1e-6 in
@@ -19,21 +55,17 @@ let check_outline (layout : Layout.t) out =
     (fun (w : Layout.wire) ->
        if not (inside w.Layout.w_ax w.Layout.w_ay && inside w.Layout.w_bx w.Layout.w_by)
        then
-         out
-           { rule = "wire-in-outline";
-             detail =
-               Printf.sprintf "net C_%d wire (%.2f,%.2f)-(%.2f,%.2f) escapes %gx%g"
-                 w.Layout.w_cap w.Layout.w_ax w.Layout.w_ay w.Layout.w_bx
-                 w.Layout.w_by layout.Layout.width layout.Layout.height })
+         Printf.ksprintf (out r_wire_in_outline)
+           "net C_%d wire (%.2f,%.2f)-(%.2f,%.2f) escapes %gx%g"
+           w.Layout.w_cap w.Layout.w_ax w.Layout.w_ay w.Layout.w_bx
+           w.Layout.w_by layout.Layout.width layout.Layout.height)
     (layout.Layout.wires @ layout.Layout.top_wires);
   List.iter
     (fun (v : Layout.via) ->
        if not (inside v.Layout.v_x v.Layout.v_y) then
-         out
-           { rule = "via-in-outline";
-             detail =
-               Printf.sprintf "net C_%d via (%.2f,%.2f) escapes" v.Layout.v_cap
-                 v.Layout.v_x v.Layout.v_y })
+         Printf.ksprintf (out r_via_in_outline)
+           "net C_%d via (%.2f,%.2f) escapes" v.Layout.v_cap
+           v.Layout.v_x v.Layout.v_y)
     layout.Layout.vias
 
 (* each trunk must sit inside its channel's x extent *)
@@ -58,12 +90,9 @@ let check_trunks_in_channels (layout : Layout.t) out =
          (fun (tk : Layout.trunk) ->
             let lo, hi = channel_bounds.(tk.Layout.tk_channel) in
             if tk.Layout.tk_x < lo -. eps || tk.Layout.tk_x > hi +. eps then
-              out
-                { rule = "trunk-in-channel";
-                  detail =
-                    Printf.sprintf
-                      "C_%d trunk x=%.3f outside channel %d [%.3f, %.3f]"
-                      tk.Layout.tk_cap tk.Layout.tk_x tk.Layout.tk_channel lo hi })
+              Printf.ksprintf (out r_trunk_in_channel)
+                "C_%d trunk x=%.3f outside channel %d [%.3f, %.3f]"
+                tk.Layout.tk_cap tk.Layout.tk_x tk.Layout.tk_channel lo hi)
          net.Layout.cn_trunks)
     layout.Layout.nets
 
@@ -95,13 +124,10 @@ let check_track_separation (layout : Layout.t) out =
            in
            let min_gap = (width a +. width b) /. 2. in
            if b.Layout.tk_x -. a.Layout.tk_x < min_gap -. 1e-9 then
-             out
-               { rule = "track-separation";
-                 detail =
-                   Printf.sprintf
-                     "channel %d: trunks of C_%d and C_%d %.3f um apart, need %.3f"
-                     channel a.Layout.tk_cap b.Layout.tk_cap
-                     (b.Layout.tk_x -. a.Layout.tk_x) min_gap };
+             Printf.ksprintf (out r_track_separation)
+               "channel %d: trunks of C_%d and C_%d %.3f um apart, need %.3f"
+               channel a.Layout.tk_cap b.Layout.tk_cap
+               (b.Layout.tk_x -. a.Layout.tk_x) min_gap;
            walk rest
          | [ _ ] | [] -> ()
        in
@@ -115,20 +141,16 @@ let check_net_coverage (layout : Layout.t) out =
     (fun (net : Layout.capnet) ->
        let cap = net.Layout.cn_cap in
        if net.Layout.cn_trunks = [] then
-         out
-           { rule = "net-routed";
-             detail = Printf.sprintf "C_%d has no trunk" cap };
+         Printf.ksprintf (out r_net_routed) "C_%d has no trunk" cap;
        let covered =
          List.fold_left
            (fun acc (g : Group.t) -> acc + Group.size g)
            0 net.Layout.cn_groups
        in
        if covered <> placement.Placement.counts.(cap) then
-         out
-           { rule = "net-coverage";
-             detail =
-               Printf.sprintf "C_%d groups cover %d of %d cells" cap covered
-                 placement.Placement.counts.(cap) })
+         Printf.ksprintf (out r_net_coverage)
+           "C_%d groups cover %d of %d cells" cap covered
+           placement.Placement.counts.(cap))
     layout.Layout.nets
 
 (* bundle widths recorded on wires and vias must match the plan *)
@@ -138,21 +160,16 @@ let check_parallel_consistency (layout : Layout.t) out =
        if w.Layout.w_cap >= 0
           && w.Layout.w_p <> layout.Layout.p_of_cap.(w.Layout.w_cap)
        then
-         out
-           { rule = "parallel-consistency";
-             detail =
-               Printf.sprintf "C_%d wire has p=%d, plan says %d"
-                 w.Layout.w_cap w.Layout.w_p
-                 layout.Layout.p_of_cap.(w.Layout.w_cap) })
+         Printf.ksprintf (out r_parallel_consistency)
+           "C_%d wire has p=%d, plan says %d" w.Layout.w_cap w.Layout.w_p
+           layout.Layout.p_of_cap.(w.Layout.w_cap))
     layout.Layout.wires;
   List.iter
     (fun (v : Layout.via) ->
        if v.Layout.v_p <> layout.Layout.p_of_cap.(v.Layout.v_cap) then
-         out
-           { rule = "parallel-consistency";
-             detail =
-               Printf.sprintf "C_%d via has p=%d, plan says %d" v.Layout.v_cap
-                 v.Layout.v_p layout.Layout.p_of_cap.(v.Layout.v_cap) })
+         Printf.ksprintf (out r_parallel_consistency)
+           "C_%d via has p=%d, plan says %d" v.Layout.v_cap
+           v.Layout.v_p layout.Layout.p_of_cap.(v.Layout.v_cap))
     layout.Layout.vias
 
 (* trunk wires must be vertical on a vertical layer; bridges horizontal *)
@@ -176,27 +193,20 @@ let check_wire_directions (layout : Layout.t) out =
          | Layout.Branch | Layout.Top -> vertical || horizontal
        in
        if not matches then
-         out
-           { rule = "reserved-direction";
-             detail =
-               Printf.sprintf "C_%d %s wire violates direction" w.Layout.w_cap
-                 (match w.Layout.w_kind with
-                  | Layout.Branch -> "branch"
-                  | Layout.Stub -> "stub"
-                  | Layout.Trunk -> "trunk"
-                  | Layout.Bridge -> "bridge"
-                  | Layout.Top -> "top") })
+         Printf.ksprintf (out r_reserved_direction)
+           "C_%d %s wire violates direction" w.Layout.w_cap
+           (match w.Layout.w_kind with
+            | Layout.Branch -> "branch"
+            | Layout.Stub -> "stub"
+            | Layout.Trunk -> "trunk"
+            | Layout.Bridge -> "bridge"
+            | Layout.Top -> "top"))
     layout.Layout.wires
-
-let compare_violation a b =
-  match String.compare a.rule b.rule with
-  | 0 -> String.compare a.detail b.detail
-  | c -> c
 
 let run layout =
   Telemetry.Span.with_ ~name:"route.check" (fun () ->
-      let violations = ref [] in
-      let out v = violations := v :: !violations in
+      let found = ref [] in
+      let out rule detail = found := Diag.make rule detail :: !found in
       check_outline layout out;
       check_trunks_in_channels layout out;
       check_track_separation layout out;
@@ -205,40 +215,30 @@ let run layout =
       check_wire_directions layout out;
       if Telemetry.Metrics.enabled () then
         List.iter
-          (fun v ->
-             Telemetry.Metrics.incr ~label:v.rule
+          (fun (d : Diag.t) ->
+             (* labelled by the bare check id, without the family prefix *)
+             Telemetry.Metrics.incr
+               ~label:(String.sub d.Diag.rule.Diag.id 6
+                         (String.length d.Diag.rule.Diag.id - 6))
                "route/check_violations_total")
-          !violations;
-      (* deterministic rule-id-sorted order, independent of hash-table and
-         checker iteration order *)
-      List.stable_sort compare_violation !violations)
-
-let by_rule violations =
-  let tally =
-    List.fold_left
-      (fun acc v ->
-         match acc with
-         | (rule, n) :: rest when String.equal rule v.rule ->
-           (rule, n + 1) :: rest
-         | acc -> (v.rule, 1) :: acc)
-      [] violations
-  in
-  List.rev tally
+          !found;
+      (* deterministic order, independent of hash-table and checker
+         iteration order *)
+      Diag.sort !found)
 
 let assert_clean layout =
   match run layout with
   | [] -> ()
-  | violations ->
+  | found ->
     let breakdown =
       String.concat ", "
         (List.map
            (fun (rule, n) -> Printf.sprintf "%s x%d" rule n)
-           (by_rule violations))
+           (Diag.tally found))
     in
-    let first = List.filteri (fun i _ -> i < 5) violations in
+    let first = List.filteri (fun i _ -> i < 5) found in
     invalid_arg
       (Format.asprintf "Check.assert_clean: %d violations (%s); first: %a"
-         (List.length violations)
-         breakdown
-         (Format.pp_print_list pp_violation)
+         (List.length found) breakdown
+         (Format.pp_print_list Diag.pp)
          first)

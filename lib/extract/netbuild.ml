@@ -62,8 +62,8 @@ let build (layout : Layout.t) ~cap =
       (Verify.Engine.Rejected
          { what = Printf.sprintf "RC extraction of C_%d" cap;
            diagnostics =
-             [ Verify.Diagnostic.makef
-                 ~loc:(Printf.sprintf "C_%d" cap)
+             [ Diag.makef
+                 ~loc:(Diag.Element (Printf.sprintf "C_%d" cap))
                  Verify.Lvs_rules.r_open
                  "capacitor has no routed net: no trunk reaches the driver \
                   row, so no RC tree can be built" ] });

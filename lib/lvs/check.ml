@@ -1,5 +1,5 @@
 open Ccgrid
-module D = Verify.Diagnostic
+module D = Diag
 module LR = Verify.Lvs_rules
 
 type stats = {
@@ -68,7 +68,7 @@ let classify (ex : Extracted.t) (layout : Ccroute.Layout.t) =
         (function Shape.Cap k -> shorted.(k) <- true | Shape.Top -> ())
         labels;
       emit
-        (D.makef ~loc:(Shape.label_name first) LR.r_short
+        (D.makef ~loc:(D.Element (Shape.label_name first)) LR.r_short
            "extracted component of %d shapes joins nets %s" comp_shapes.(c)
            (String.concat ", " (List.map Shape.label_name labels)))
     | [ _ ] | [] -> ()
@@ -82,7 +82,7 @@ let classify (ex : Extracted.t) (layout : Ccroute.Layout.t) =
      | None ->
        fractured.(k) <- true;
        emit
-         (D.makef ~loc:(cap_loc k) LR.r_open
+         (D.makef ~loc:(D.Element (cap_loc k)) LR.r_open
             "no driver terminal: no via of the net reaches the driver row \
              (y = 0)")
      | Some _ -> ());
@@ -90,7 +90,7 @@ let classify (ex : Extracted.t) (layout : Ccroute.Layout.t) =
     if anchored >= 2 then begin
       fractured.(k) <- true;
       emit
-        (D.makef ~loc:(cap_loc k) LR.r_open
+        (D.makef ~loc:(D.Element (cap_loc k)) LR.r_open
            "net fractured into %d disconnected pieces (%d cell plates)"
            anchored
            (List.length cap_pads.(k)))
@@ -107,7 +107,7 @@ let classify (ex : Extracted.t) (layout : Ccroute.Layout.t) =
         floating.(k) <- true;
         let cells = List.sort Cell.compare (List.map fst stray) in
         emit
-          (D.makef ~loc:(cap_loc k) LR.r_floating_cell
+          (D.makef ~loc:(D.Element (cap_loc k)) LR.r_floating_cell
              "%d of %d unit cells unreachable from the driver: %s%s"
              (List.length stray)
              (List.length cap_pads.(k))
@@ -121,7 +121,7 @@ let classify (ex : Extracted.t) (layout : Ccroute.Layout.t) =
     then begin
       let loc =
         match comp_labels.(c) with
-        | [ l ] -> Some (Shape.label_name l)
+        | [ l ] -> Some (D.Element (Shape.label_name l))
         | _ -> None
       in
       emit
@@ -138,7 +138,7 @@ let classify (ex : Extracted.t) (layout : Ccroute.Layout.t) =
   done;
   if !top_comps >= 2 then
     emit
-      (D.makef ~loc:"TOP" LR.r_top_open
+      (D.makef ~loc:(D.Element "TOP") LR.r_top_open
          "top plate fractured into %d components" !top_comps);
   (* Netbuild cross-check, only for geometrically clean nets: the cells
      the drawn geometry connects to the driver must be exactly the cells
@@ -154,7 +154,7 @@ let classify (ex : Extracted.t) (layout : Ccroute.Layout.t) =
       match Extract.Netbuild.build layout ~cap:k with
       | exception e ->
         emit
-          (D.makef ~loc:(cap_loc k) LR.r_netbuild_mismatch
+          (D.makef ~loc:(D.Element (cap_loc k)) LR.r_netbuild_mismatch
              "Netbuild failed on a geometrically clean net: %s"
              (Printexc.to_string e))
       | nb ->
@@ -169,7 +169,7 @@ let classify (ex : Extracted.t) (layout : Ccroute.Layout.t) =
           let drawn_only = diff extracted_cells tree_cells in
           let tree_only = diff tree_cells extracted_cells in
           emit
-            (D.makef ~loc:(cap_loc k) LR.r_netbuild_mismatch
+            (D.makef ~loc:(D.Element (cap_loc k)) LR.r_netbuild_mismatch
                "extracted driver component reaches %d cells but the RC tree \
                 models %d (%d drawn-only, %d tree-only%s%s)"
                (List.length extracted_cells)
@@ -205,7 +205,7 @@ let run layout =
       (float_of_int ex.Extracted.n_components);
     List.iter
       (fun (d : D.t) ->
-         Telemetry.Metrics.incr ~label:d.D.rule.Verify.Rule.id
+         Telemetry.Metrics.incr ~label:d.D.rule.D.id
            "lvs/defects_total")
       diagnostics
   end;
@@ -216,3 +216,14 @@ let run layout =
         components = ex.Extracted.n_components } }
 
 let check layout = (run layout).diagnostics
+
+let to_json ~label r =
+  let num n = Telemetry.Json.Num (float_of_int n) in
+  Telemetry.Json.Obj
+    [ ("label", Telemetry.Json.Str label);
+      ( "stats",
+        Telemetry.Json.Obj
+          [ ("shapes", num r.stats.shapes);
+            ("contacts", num r.stats.contacts);
+            ("components", num r.stats.components) ] );
+      ("report", D.to_json r.diagnostics) ]

@@ -28,12 +28,12 @@ type stats = {
 }
 
 type result = {
-  diagnostics : Verify.Diagnostic.t list;  (** sorted, possibly empty *)
+  diagnostics : Diag.t list;  (** sorted, possibly empty *)
   stats : stats;
 }
 
 (** [classify ex layout] is the comparison pass alone (no telemetry). *)
-val classify : Extracted.t -> Ccroute.Layout.t -> Verify.Diagnostic.t list
+val classify : Extracted.t -> Ccroute.Layout.t -> Diag.t list
 
 (** [run layout] is the full instrumented pass (spans [lvs.flatten],
     [lvs.extract], [lvs.compare]; metrics [lvs/shapes], [lvs/contacts],
@@ -41,4 +41,9 @@ val classify : Extracted.t -> Ccroute.Layout.t -> Verify.Diagnostic.t list
 val run : Ccroute.Layout.t -> result
 
 (** [check layout] is [(run layout).diagnostics]. *)
-val check : Ccroute.Layout.t -> Verify.Diagnostic.t list
+val check : Ccroute.Layout.t -> Diag.t list
+
+(** [to_json ~label r] is one configuration's entry in the [ccgen lvs
+    --json] document: [{"label", "stats": {"shapes", "contacts",
+    "components"}, "report": <Diag.to_json>}]. *)
+val to_json : label:string -> result -> Telemetry.Json.t

@@ -1,6 +1,6 @@
 (** The regression sentinel: diff current QoR records against a
     baseline under the {!Policy} catalogue and report verdicts in the
-    [Verify.Report] text/JSON conventions.
+    text/JSON conventions of the diagnostics core ({!Diag}).
 
     Records pair up by [label] ([style b<bits>]).  A baseline label with
     no current record is a {e coverage} failure ([qor/coverage], Error):
@@ -20,7 +20,7 @@ type finding = {
 
 type t = {
   findings : finding list;   (** sorted: failing first, then severity, id,
-                                 label — deterministic like Verify.Report *)
+                                 label — deterministic like {!Diag.sort} *)
   warnings : string list;    (** non-gating notes: new labels, schema skew *)
 }
 
@@ -40,7 +40,7 @@ val diff : baseline:Record.t list -> current:Record.t list -> t
 val failing : ?werror:bool -> t -> finding list
 
 (** [gate ?werror t] is [Error (failing t)] when disqualifying findings
-    exist, mirroring [Verify.Engine.gate]. *)
+    exist, under the severity rule of {!Diag.gate}. *)
 val gate : ?werror:bool -> t -> (unit, finding list) result
 
 (** ["clean"] or e.g. ["2 regressed, 1 incomparable, 3 improved"]. *)

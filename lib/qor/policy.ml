@@ -19,7 +19,7 @@ type t = {
   unit_ : string;
   kind : kind;
   sense : sense;
-  severity : Verify.Rule.severity;
+  severity : Diag.severity;
 }
 
 type observation =
@@ -134,49 +134,49 @@ let catalogue =
       unit_ = "MHz";
       kind = Rel { tol = 0.02; floor = 1e-3; repeat_aware = false };
       sense = Higher_better;
-      severity = Verify.Rule.Error };
+      severity = Diag.Error };
     { id = "qor/max_inl_lsb";
       metric = "max |INL|";
       unit_ = "LSB";
       kind = Abs { tol = 0.005 };
       sense = Lower_better;
-      severity = Verify.Rule.Error };
+      severity = Diag.Error };
     { id = "qor/max_dnl_lsb";
       metric = "max |DNL|";
       unit_ = "LSB";
       kind = Abs { tol = 0.005 };
       sense = Lower_better;
-      severity = Verify.Rule.Error };
+      severity = Diag.Error };
     { id = "qor/via_cuts";
       metric = "via cuts";
       unit_ = "1";
       kind = Exact_count;
       sense = Neither;
-      severity = Verify.Rule.Error };
+      severity = Diag.Error };
     { id = "qor/bends";
       metric = "bends";
       unit_ = "1";
       kind = Exact_count;
       sense = Neither;
-      severity = Verify.Rule.Warning };
+      severity = Diag.Warning };
     { id = "qor/wirelength_um";
       metric = "wirelength";
       unit_ = "um";
       kind = Rel { tol = 0.01; floor = 1e-6; repeat_aware = false };
       sense = Lower_better;
-      severity = Verify.Rule.Warning };
+      severity = Diag.Warning };
     { id = "qor/area_um2";
       metric = "area";
       unit_ = "um^2";
       kind = Rel { tol = 0.001; floor = 1e-6; repeat_aware = false };
       sense = Lower_better;
-      severity = Verify.Rule.Warning };
+      severity = Diag.Warning };
     { id = "qor/place_route_s";
       metric = "place+route time";
       unit_ = "s";
       kind = Rel { tol = 0.5; floor = 0.05; repeat_aware = true };
       sense = Lower_better;
-      severity = Verify.Rule.Warning };
+      severity = Diag.Warning };
     (* Allocation totals are near-deterministic (same code path, same
        allocations), but GC scheduling varies across machines and
        OCAMLRUNPARAM settings, so the memory metrics are Warnings with
@@ -188,19 +188,19 @@ let catalogue =
       unit_ = "MB";
       kind = Rel { tol = 0.25; floor = 1.0; repeat_aware = false };
       sense = Lower_better;
-      severity = Verify.Rule.Warning };
+      severity = Diag.Warning };
     { id = "qor/peak_heap_mb";
       metric = "peak heap";
       unit_ = "MB";
       kind = Rel { tol = 0.5; floor = 16.0; repeat_aware = false };
       sense = Lower_better;
-      severity = Verify.Rule.Warning };
+      severity = Diag.Warning };
     { id = "qor/major_collections";
       metric = "major GCs";
       unit_ = "1";
       kind = Abs { tol = 8. };
       sense = Lower_better;
-      severity = Verify.Rule.Warning };
+      severity = Diag.Warning };
     (* Scaling/scheduler metrics exist only in records decorated by the
        scaling probe (bench scaling / ccgen scale).  Growth exponents
        are stable properties of the algorithms, so they get an absolute
@@ -213,19 +213,19 @@ let catalogue =
       unit_ = "1";
       kind = Abs { tol = 0.35 };
       sense = Lower_better;
-      severity = Verify.Rule.Warning };
+      severity = Diag.Warning };
     { id = "qor/sched_utilization";
       metric = "pool utilization";
       unit_ = "1";
       kind = Rel { tol = 0.5; floor = 0.05; repeat_aware = false };
       sense = Higher_better;
-      severity = Verify.Rule.Warning };
+      severity = Diag.Warning };
     { id = "qor/sched_caller_blocked_s";
       metric = "caller barrier stall";
       unit_ = "s";
       kind = Rel { tol = 1.0; floor = 0.05; repeat_aware = true };
       sense = Lower_better;
-      severity = Verify.Rule.Warning };
+      severity = Diag.Warning };
     (* Serve metrics exist only in records decorated by the bench serve
        load generator.  Throughput and latency are machine-dependent
        wall-clock figures, so they get the generous relative Warnings;
@@ -237,36 +237,36 @@ let catalogue =
       unit_ = "req/s";
       kind = Rel { tol = 0.5; floor = 10.0; repeat_aware = false };
       sense = Higher_better;
-      severity = Verify.Rule.Warning };
+      severity = Diag.Warning };
     { id = "qor/serve_p95_ms";
       metric = "serve p95 latency";
       unit_ = "ms";
       kind = Rel { tol = 1.0; floor = 0.5; repeat_aware = false };
       sense = Lower_better;
-      severity = Verify.Rule.Warning };
+      severity = Diag.Warning };
     { id = "qor/serve_hit_rate";
       metric = "serve cache hit-rate";
       unit_ = "1";
       kind = Rel { tol = 0.1; floor = 0.02; repeat_aware = false };
       sense = Higher_better;
-      severity = Verify.Rule.Warning };
+      severity = Diag.Warning };
     { id = "qor/verify_rules";
       metric = "verify rule ids";
       unit_ = "1";
       kind = Exact_set;
       sense = Neither;
-      severity = Verify.Rule.Error };
+      severity = Diag.Error };
     { id = "qor/lvs_rules";
       metric = "LVS rule ids";
       unit_ = "1";
       kind = Exact_set;
       sense = Neither;
-      severity = Verify.Rule.Error };
+      severity = Diag.Error };
     { id = "qor/tech_hash";
       metric = "tech hash";
       unit_ = "1";
       kind = Exact_set;
       sense = Neither;
-      severity = Verify.Rule.Warning } ]
+      severity = Diag.Warning } ]
 
 let find id = List.find_opt (fun p -> String.equal p.id id) catalogue

@@ -42,7 +42,7 @@ type t = {
   unit_ : string;
   kind : kind;
   sense : sense;
-  severity : Verify.Rule.severity;  (** [Error] fails the gate outright;
+  severity : Diag.severity;  (** [Error] fails the gate outright;
                                         [Warning] fails under [--werror] *)
 }
 

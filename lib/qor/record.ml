@@ -124,10 +124,10 @@ let of_result ?(repeat = 1) ?(jobs = 1) ?(par_speedup = Float.nan)
     wirelength_um = p.Extract.Parasitics.total_wirelength;
     area_um2 = r.Ccdac.Flow.area;
     verify_rules =
-      Verify.Diagnostic.rule_ids
+      Diag.rule_ids
         (Verify.Engine.check_artifacts r.Ccdac.Flow.layout);
     lvs_rules =
-      Verify.Diagnostic.rule_ids (Lvs.Check.check r.Ccdac.Flow.layout);
+      Diag.rule_ids (Lvs.Check.check r.Ccdac.Flow.layout);
     stage_exponent = [];
     sched_utilization = Float.nan;
     sched_queue_depth_max = 0;

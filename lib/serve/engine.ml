@@ -108,12 +108,12 @@ let classify t line =
 let error_of_task (te : Par.Pool.task_error) =
   match te.Par.Pool.exn with
   | Verify.Engine.Rejected { diagnostics; _ } ->
-    let errors = Verify.Diagnostic.errors diagnostics in
+    let errors = Diag.errors diagnostics in
     { Request.code = "verify-rejected";
       detail =
         Printf.sprintf "%d verify error%s" (List.length errors)
           (if List.length errors = 1 then "" else "s");
-      rules = Verify.Diagnostic.rule_ids errors }
+      rules = Diag.rule_ids errors }
   | exn ->
     { Request.code = "internal-error";
       detail = Printexc.to_string exn;

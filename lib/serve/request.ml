@@ -124,16 +124,16 @@ let verify_gate ~bits ~style ~tech =
   let diags =
     Verify.Engine.check_tech tech @ Verify.Engine.check_style ~bits style
   in
-  match Verify.Engine.gate diags with
+  match Diag.gate diags with
   | Ok () -> Ok ()
   | Error diags ->
-    let errors = Verify.Diagnostic.errors diags in
+    let errors = Diag.errors diags in
     Error
       { code = "verify-rejected";
         detail =
           Printf.sprintf "%d verify error%s" (List.length errors)
             (if List.length errors = 1 then "" else "s");
-        rules = Verify.Diagnostic.rule_ids errors }
+        rules = Diag.rule_ids errors }
 
 let of_json json =
   match json with

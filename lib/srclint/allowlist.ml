@@ -12,32 +12,27 @@ type t = {
 
 let empty = { file = ".cclint"; entries = [] }
 
+let meta id severity doc = { Diag.id; category = "meta"; severity; doc }
+
 let stale_rule =
-  Rule.make ~id:"meta/stale-suppression" ~category:Rule.Meta
-    ~severity:Rule.Error
-    ~doc:
-      "The allowlist entry suppressed nothing; the violation it excused \
-       is gone, so the entry must go too."
+  meta "meta/stale-suppression" Diag.Error
+    "The allowlist entry suppressed nothing; the violation it excused \
+     is gone, so the entry must go too."
 
 let missing_justification_rule =
-  Rule.make ~id:"meta/missing-justification" ~category:Rule.Meta
-    ~severity:Rule.Error
-    ~doc:
-      "Every suppression must say why it is sound, in the entry itself."
+  meta "meta/missing-justification" Diag.Error
+    "Every suppression must say why it is sound, in the entry itself."
 
 let unknown_rule_rule =
-  Rule.make ~id:"meta/unknown-rule" ~category:Rule.Meta ~severity:Rule.Error
-    ~doc:
-      "The allowlist entry names a rule the registry does not know — a \
-       typo would otherwise suppress nothing, silently."
+  meta "meta/unknown-rule" Diag.Error
+    "The allowlist entry names a rule the registry does not know — a \
+     typo would otherwise suppress nothing, silently."
 
 let duplicate_rule =
-  Rule.make ~id:"meta/duplicate-suppression" ~category:Rule.Meta
-    ~severity:Rule.Error
-    ~doc:
-      "Two allowlist entries name the same (rule, path); only the first \
-       can ever match, so the second is dead weight that would otherwise \
-       read as stale nondeterministically.  Keep one entry."
+  meta "meta/duplicate-suppression" Diag.Error
+    "Two allowlist entries name the same (rule, path); only the first \
+     can ever match, so the second is dead weight that would otherwise \
+     read as stale nondeterministically.  Keep one entry."
 
 let rules = [ stale_rule; missing_justification_rule; unknown_rule_rule;
               duplicate_rule ]

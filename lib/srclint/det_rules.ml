@@ -1,46 +1,38 @@
 open Parsetree
 
+let det id severity doc = { Diag.id; category = "determinism"; severity; doc }
+
 let wall_clock =
-  Rule.make ~id:"det/wall-clock" ~category:Rule.Determinism
-    ~severity:Rule.Error
-    ~doc:
-      "Library code must not read the wall clock (Unix.gettimeofday, \
-       Sys.time, ...); use Telemetry.Clock for durations or thread a \
-       timestamp in from the caller."
+  det "det/wall-clock" Diag.Error
+    "Library code must not read the wall clock (Unix.gettimeofday, \
+     Sys.time, ...); use Telemetry.Clock for durations or thread a \
+     timestamp in from the caller."
 
 let random_self_init =
-  Rule.make ~id:"det/random-self-init" ~category:Rule.Determinism
-    ~severity:Rule.Error
-    ~doc:
-      "Random.self_init seeds from ambient entropy and destroys \
-       reproducibility everywhere, tests included; seed explicitly \
-       (Par.Rng substreams, Random.State.make)."
+  det "det/random-self-init" Diag.Error
+    "Random.self_init seeds from ambient entropy and destroys \
+     reproducibility everywhere, tests included; seed explicitly \
+     (Par.Rng substreams, Random.State.make)."
 
 let ambient_random =
-  Rule.make ~id:"det/ambient-random" ~category:Rule.Determinism
-    ~severity:Rule.Error
-    ~doc:
-      "The global Random state is shared across domains and \
-       schedule-dependent; use Random.State values derived from Par.Rng \
-       substreams instead."
+  det "det/ambient-random" Diag.Error
+    "The global Random state is shared across domains and \
+     schedule-dependent; use Random.State values derived from Par.Rng \
+     substreams instead."
 
 let getenv =
-  Rule.make ~id:"det/getenv" ~category:Rule.Determinism
-    ~severity:Rule.Warning
-    ~doc:
-      "Reading the environment makes library behaviour ambient; resolve \
-       configuration at the CLI boundary and pass it down (Par.Jobs owns \
-       the one sanctioned knob)."
+  det "det/getenv" Diag.Warning
+    "Reading the environment makes library behaviour ambient; resolve \
+     configuration at the CLI boundary and pass it down (Par.Jobs owns \
+     the one sanctioned knob)."
 
 let gc_mutation =
-  Rule.make ~id:"det/gc-mutation" ~category:Rule.Determinism
-    ~severity:Rule.Error
-    ~doc:
-      "Mutating the GC (Gc.set, Gc.compact, Gc.full_major, ...) from \
-       library or CLI code changes process-wide collection scheduling and \
-       skews Telemetry.Memory accounting for every other caller; only \
-       lib/telemetry may touch it, and benches/tests stay exempt.  \
-       Read-only probes (Gc.quick_stat, Gc.minor_words) are fine."
+  det "det/gc-mutation" Diag.Error
+    "Mutating the GC (Gc.set, Gc.compact, Gc.full_major, ...) from \
+     library or CLI code changes process-wide collection scheduling and \
+     skews Telemetry.Memory accounting for every other caller; only \
+     lib/telemetry may touch it, and benches/tests stay exempt.  \
+     Read-only probes (Gc.quick_stat, Gc.minor_words) are fine."
 
 let rules = [ wall_clock; random_self_init; ambient_random; getenv;
               gc_mutation ]
@@ -72,8 +64,7 @@ let check (src : Source.t) =
   let emit rule loc name =
     let line, col = Source.line_col loc in
     out :=
-      Diagnostic.makef ~rule ~file:src.Source.path ~line ~col "use of %s"
-        name
+      Source.diagf ~rule ~file:src.Source.path ~line ~col "use of %s" name
       :: !out
   in
   Source.iter_exprs src.Source.ast (fun e ->

@@ -5,9 +5,15 @@ type suppression = {
 
 type result = {
   files_scanned : int;
-  diagnostics : Diagnostic.t list;
+  diagnostics : Diag.t list;
   suppressions : suppression list;
 }
+
+let rules =
+  Diag.catalogue ~owner:"Srclint.Engine"
+    (Det_rules.rules @ Domain_rules.rules @ Error_rules.rules
+     @ Hygiene_rules.rules @ Typed_rules.rules @ Allowlist.rules
+     @ [ Source.parse_error_rule ])
 
 let default_roots = [ "lib"; "bin"; "bench"; "test" ]
 
@@ -46,7 +52,7 @@ let check_source src =
 
 let check_string ~path contents =
   match Source.parse ~path contents with
-  | Ok src -> Diagnostic.sort (check_source src)
+  | Ok src -> Diag.sort (check_source src)
   | Error diag -> [ diag ]
 
 let check_file ~root path =
@@ -55,15 +61,15 @@ let check_file ~root path =
   with
   | contents -> check_string ~path contents
   | exception Sys_error msg ->
-    [ Diagnostic.makef ~rule:Source.parse_error_rule ~file:path
+    [ Source.diagf ~rule:Source.parse_error_rule ~file:path
         "unreadable: %s" msg ]
 
 let apply_allowlist (allowlist : Allowlist.t) diags =
   let suppressed_by d =
+    let file, _, _ = Source.position d in
     List.find_opt
       (fun (e : Allowlist.entry) ->
-         e.Allowlist.rule_id = d.Diagnostic.rule.Rule.id
-         && e.Allowlist.path = d.Diagnostic.file)
+         e.Allowlist.rule_id = d.Diag.rule.Diag.id && e.Allowlist.path = file)
       allowlist.Allowlist.entries
   in
   let kept, matches =
@@ -79,7 +85,7 @@ let apply_allowlist (allowlist : Allowlist.t) diags =
     Printf.ksprintf
       (fun detail ->
          meta :=
-           Diagnostic.make ~rule ~file:allowlist.Allowlist.file
+           Source.diag ~rule ~file:allowlist.Allowlist.file
              ~line:e.Allowlist.line detail
            :: !meta)
       fmt
@@ -106,7 +112,7 @@ let apply_allowlist (allowlist : Allowlist.t) diags =
              emit Allowlist.missing_justification_rule e
                "suppression of %s in %s has no justification"
                e.Allowlist.rule_id e.Allowlist.path;
-           if not (List.mem e.Allowlist.rule_id Registry.ids) then
+           if Diag.find rules e.Allowlist.rule_id = None then
              emit Allowlist.unknown_rule_rule e "unknown rule %s"
                e.Allowlist.rule_id
            else if matched = 0 then
@@ -128,10 +134,10 @@ let run ?rules ?(allowlist = Allowlist.empty) ?typed ~root () =
   let selected id =
     match rules with
     | None -> true
-    | Some patterns -> Registry.matches ~patterns id
+    | Some patterns -> Diag.matches ~patterns id
   in
   let diags =
-    List.filter (fun d -> selected d.Diagnostic.rule.Rule.id) diags
+    List.filter (fun d -> selected d.Diag.rule.Diag.id) diags
   in
   (* When the typed pass did not run (no .cmt files around, or
      --no-typed), its allowlist entries must not read as stale: the
@@ -150,14 +156,49 @@ let run ?rules ?(allowlist = Allowlist.empty) ?typed ~root () =
   in
   let diagnostics, suppressions = apply_allowlist allowlist diags in
   { files_scanned = List.length files;
-    diagnostics = Diagnostic.sort diagnostics;
+    diagnostics = Diag.sort diagnostics;
     suppressions }
 
-let has_findings ?(werror = false) diags =
-  List.exists
-    (fun d ->
-       match Diagnostic.severity d with
-       | Rule.Error -> true
-       | Rule.Warning -> werror
-       | Rule.Info -> false)
-    diags
+(* --- reports: the core's renderers plus the files-scanned count and
+   the suppressions --- *)
+
+let suppressed_total r =
+  List.fold_left (fun acc s -> acc + s.matched) 0 r.suppressions
+
+let summary_line r =
+  let plural n what =
+    Printf.sprintf "%d %s%s" n what (if n = 1 then "" else "s")
+  in
+  let suppressed = suppressed_total r in
+  Printf.sprintf "%s (%s scanned%s)"
+    (Diag.summary_line ~clean:"source tree clean" r.diagnostics)
+    (plural r.files_scanned "file")
+    (if suppressed > 0 then ", " ^ plural suppressed "finding" ^ " suppressed"
+     else "")
+
+let text r = Diag.text ~summary:(summary_line r) r.diagnostics
+
+let tool = ("tool", Telemetry.Json.Str "cclint")
+
+let json r =
+  let open Telemetry.Json in
+  let num n = Num (float_of_int n) in
+  let suppression s =
+    Obj
+      [ ("rule", Str s.entry.Allowlist.rule_id);
+        ("path", Str s.entry.Allowlist.path);
+        ("line", num s.entry.Allowlist.line);
+        ("matched", num s.matched);
+        ("justification", Str s.entry.Allowlist.justification) ]
+  in
+  to_string
+    (Diag.to_json ~head:[ tool ]
+       ~counts:
+         [ ("suppressed", num (suppressed_total r));
+           ("files_scanned", num r.files_scanned) ]
+       ~tail:[ ("suppressions", Arr (List.map suppression r.suppressions)) ]
+       r.diagnostics)
+  ^ "\n"
+
+let rules_json () =
+  Telemetry.Json.to_string (Diag.catalogue_json ~head:[ tool ] rules) ^ "\n"

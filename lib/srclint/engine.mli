@@ -11,11 +11,16 @@ type suppression = {
 
 type result = {
   files_scanned : int;
-  diagnostics : Diagnostic.t list;
-    (** post-filter, post-suppression, {!Diagnostic.compare}-sorted;
+  diagnostics : Diag.t list;
+    (** post-filter, post-suppression, {!Diag.compare}-sorted;
         includes the ["meta/"] findings about the allowlist itself *)
   suppressions : suppression list;  (** in allowlist order *)
 }
+
+(** Every rule any checker (or the allowlist/parse machinery) can emit,
+    sorted by id.  Raises [Invalid_argument] at module initialisation if
+    two checker modules declare the same id. *)
+val rules : Diag.rule list
 
 (** The trees scanned by default, relative to the root:
     [lib bin bench test]. *)
@@ -27,27 +32,27 @@ val default_roots : string list
 val ml_files : root:string -> string list
 
 (** [check_source src] runs every checker on one parsed source. *)
-val check_source : Source.t -> Diagnostic.t list
+val check_source : Source.t -> Diag.t list
 
 (** [check_string ~path contents] parses and checks one in-memory source;
     unparseable input yields the single [meta/parse-error] finding.  This
     is the fixture-test entry point. *)
-val check_string : path:string -> string -> Diagnostic.t list
+val check_string : path:string -> string -> Diag.t list
 
 (** [check_file ~root path] reads and checks [root/path]; unreadable files
     surface as a [meta/parse-error] finding. *)
-val check_file : root:string -> string -> Diagnostic.t list
+val check_file : root:string -> string -> Diag.t list
 
 (** [apply_allowlist allowlist diags] splits [diags] into kept findings
     and per-entry suppression counts, and appends the ["meta/"] findings
     (stale entry, missing justification, unknown rule, duplicate
     entry). *)
 val apply_allowlist :
-  Allowlist.t -> Diagnostic.t list -> Diagnostic.t list * suppression list
+  Allowlist.t -> Diag.t list -> Diag.t list * suppression list
 
 (** [run ?rules ?allowlist ?typed ~root ()] is the whole analysis.
     [rules] filters findings (and allowlist entries) to the selected ids
-    — see {!Registry.matches}; default everything.  [allowlist] defaults
+    — see {!Diag.matches}; default everything.  [allowlist] defaults
     to {!Allowlist.empty}.  [typed] carries the diagnostics of the typed
     whole-program pass (lib/ccdeps), which the engine merges before
     filtering and suppression; [None] means the pass did not run, and
@@ -55,8 +60,19 @@ val apply_allowlist :
     the stale check (their findings were never looked for). *)
 val run :
   ?rules:string list -> ?allowlist:Allowlist.t ->
-  ?typed:Diagnostic.t list -> root:string -> unit -> result
+  ?typed:Diag.t list -> root:string -> unit -> result
 
-(** [has_findings ?werror diags]: any error, or any warning under
-    [~werror:true]. *)
-val has_findings : ?werror:bool -> Diagnostic.t list -> bool
+(** [text result] is one line per finding, then a summary line
+    (["source tree clean"] or the counts) with the files scanned and,
+    when any, the findings suppressed. *)
+val text : result -> string
+
+(** [json result] is the {!Diag.to_json} report with a ["tool": "cclint"]
+    member, ["suppressed"] and ["files_scanned"] summary counts, and a
+    ["suppressions"] array ([rule], [path], [line], [matched],
+    [justification] per allowlist entry, in allowlist order). *)
+val json : result -> string
+
+(** [rules_json ()] is the {!rules} catalogue as JSON, tagged
+    ["tool": "cclint"]. *)
+val rules_json : unit -> string

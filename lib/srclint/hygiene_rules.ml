@@ -1,31 +1,27 @@
 open Parsetree
 
+let hyg id severity doc = { Diag.id; category = "hygiene"; severity; doc }
+
 let poly_compare =
-  Rule.make ~id:"hyg/poly-compare" ~category:Rule.Hygiene
-    ~severity:Rule.Error
-    ~doc:
-      "Polymorphic compare is NaN-hostile on floats and \
-       representation-fragile on records; kernels must sort and compare \
-       with typed comparators (Float.compare, Int.compare, Cell.compare, \
-       ...)."
+  hyg "hyg/poly-compare" Diag.Error
+    "Polymorphic compare is NaN-hostile on floats and \
+     representation-fragile on records; kernels must sort and compare \
+     with typed comparators (Float.compare, Int.compare, Cell.compare, \
+     ...)."
 
 let float_equality =
-  Rule.make ~id:"hyg/float-equality" ~category:Rule.Hygiene
-    ~severity:Rule.Error
-    ~doc:
-      "Structural (=)/(<>) against a float literal; use Float.equal, a \
-       sign test, or an explicit tolerance."
+  hyg "hyg/float-equality" Diag.Error
+    "Structural (=)/(<>) against a float literal; use Float.equal, a \
+     sign test, or an explicit tolerance."
 
 let print_in_lib =
-  Rule.make ~id:"hyg/print-in-lib" ~category:Rule.Hygiene
-    ~severity:Rule.Error
-    ~doc:
-      "Library code must not write to stdout/stderr; return strings, \
-       take a Format.formatter, or use Logs — printing is the CLI's job."
+  hyg "hyg/print-in-lib" Diag.Error
+    "Library code must not write to stdout/stderr; return strings, \
+     take a Format.formatter, or use Logs — printing is the CLI's job."
 
 let obj_magic =
-  Rule.make ~id:"hyg/obj-magic" ~category:Rule.Hygiene ~severity:Rule.Error
-    ~doc:"Obj.magic/Obj.repr defeat the type system; there is no sanctioned \
+  hyg "hyg/obj-magic" Diag.Error
+    "Obj.magic/Obj.repr defeat the type system; there is no sanctioned \
           use in this tree."
 
 let rules = [ poly_compare; float_equality; print_in_lib; obj_magic ]
@@ -76,7 +72,7 @@ let check (src : Source.t) =
   let out = ref [] in
   let emit rule loc detail =
     let line, col = Source.line_col loc in
-    out := Diagnostic.make ~rule ~file:src.Source.path ~line ~col detail :: !out
+    out := Source.diag ~rule ~file:src.Source.path ~line ~col detail :: !out
   in
   let in_lib = src.Source.zone = Source.Lib in
   let compare_shadowed = binds_compare src.Source.ast in

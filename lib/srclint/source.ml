@@ -30,11 +30,23 @@ let lib_of_path path =
   | "lib" :: dir :: _ :: _ -> Some dir
   | _ -> None
 
+let meta id severity doc = { Diag.id; category = "meta"; severity; doc }
+
 let parse_error_rule =
-  Rule.make ~id:"meta/parse-error" ~category:Rule.Meta ~severity:Rule.Error
-    ~doc:
-      "The file does not parse with the compiler frontend; the analyzer \
-       cannot vouch for anything in it."
+  meta "meta/parse-error" Diag.Error
+    "The file does not parse with the compiler frontend; the analyzer \
+     cannot vouch for anything in it."
+
+let diag ~rule ~file ?(line = 0) ?(col = 0) detail =
+  Diag.make ~loc:(Diag.Source { file; line; col }) rule detail
+
+let diagf ~rule ~file ?line ?col fmt =
+  Printf.ksprintf (diag ~rule ~file ?line ?col) fmt
+
+let position (d : Diag.t) =
+  match d.Diag.loc with
+  | Some (Diag.Source { file; line; col }) -> (file, line, col)
+  | Some (Diag.Element _) | None -> ("", 0, 0)
 
 let line_col (loc : Location.t) =
   let p = loc.Location.loc_start in
@@ -50,13 +62,11 @@ let parse ~path contents =
   | exception Syntaxerr.Error err ->
     let line, col = line_col (Syntaxerr.location_of_error err) in
     Error
-      (Diagnostic.make ~rule:parse_error_rule ~file:path ~line ~col
-         "syntax error")
+      (diag ~rule:parse_error_rule ~file:path ~line ~col "syntax error")
   | exception Lexer.Error (_, loc) ->
     let line, col = line_col loc in
     Error
-      (Diagnostic.make ~rule:parse_error_rule ~file:path ~line ~col
-         "lexer error")
+      (diag ~rule:parse_error_rule ~file:path ~line ~col "lexer error")
 
 let iter_exprs ast f =
   let expr self e =

@@ -33,10 +33,28 @@ val lib_of_path : string -> string option
 (** [parse ~path contents] parses [contents] as an implementation file.
     Syntax and lexer errors come back as a [meta/parse-error] finding
     instead of an exception, so one broken file cannot stop the scan. *)
-val parse : path:string -> string -> (t, Diagnostic.t) result
+val parse : path:string -> string -> (t, Diag.t) result
 
 (** The rule {!parse} emits on unparseable input. *)
-val parse_error_rule : Rule.t
+val parse_error_rule : Diag.rule
+
+(** [diag ~rule ~file ?line ?col detail] is a finding anchored at
+    [file:line:col]; [line] and [col] default to 0 (file-scoped). *)
+val diag :
+  rule:Diag.rule -> file:string -> ?line:int -> ?col:int -> string -> Diag.t
+
+(** [diagf ~rule ~file ?line ?col fmt ...] formats the detail in place. *)
+val diagf :
+  rule:Diag.rule ->
+  file:string ->
+  ?line:int ->
+  ?col:int ->
+  ('a, unit, string, Diag.t) format4 ->
+  'a
+
+(** [position d] is [d]'s [(file, line, col)]; [("", 0, 0)] for a finding
+    not anchored in a source file. *)
+val position : Diag.t -> string * int * int
 
 (** [line_col loc] is the 1-based line and 0-based column of [loc]'s
     start. *)

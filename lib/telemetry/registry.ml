@@ -197,13 +197,15 @@ let all =
   | Some id -> invalid_arg ("Telemetry.Registry: duplicate metric id " ^ id)
   | None -> sorted
 
-let table =
-  lazy
-    (let t = Hashtbl.create 64 in
-     List.iter (fun def -> Hashtbl.replace t def.Metric.id def) all;
-     t)
+(* Built eagerly and immutable: worker domains look metrics up
+   concurrently, and forcing a shared [lazy] from two domains at once
+   raises [CamlinternalLazy.Undefined]. *)
+module By_id = Map.Make (String)
 
-let find id = Hashtbl.find_opt (Lazy.force table) id
+let table =
+  List.fold_left (fun m def -> By_id.add def.Metric.id def m) By_id.empty all
+
+let find id = By_id.find_opt id table
 
 let ids = List.map (fun def -> def.Metric.id) all
 

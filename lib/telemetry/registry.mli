@@ -1,10 +1,10 @@
 (** The metric catalogue: every id the instrumented flow may record.
 
-    Mirrors {!Verify.Registry}: definitions are aggregated here, checked
-    for duplicate ids at module initialisation, and looked up by the
-    runtime store before any value is accepted — an unregistered id is a
-    programming error, caught loudly ({!Metrics} raises), never a silent
-    new time series.  [docs/TELEMETRY.md] is generated from the same
+    Like the rule catalogues of [lib/diag]: definitions are aggregated
+    here, checked for duplicate ids at module initialisation, and looked
+    up by the runtime store before any value is accepted — an
+    unregistered id is a programming error, caught loudly ({!Metrics}
+    raises), never a silent new time series.  [docs/TELEMETRY.md] is generated from the same
     fields this module exposes. *)
 
 (** All definitions, sorted by id.  Raises [Invalid_argument] at module

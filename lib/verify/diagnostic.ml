@@ -1,41 +1,3 @@
-type t = {
-  rule : Rule.t;
-  loc : string option;
-  detail : string;
-}
-
-let make ?loc rule detail = { rule; loc; detail }
-
-let makef ?loc rule fmt = Printf.ksprintf (make ?loc rule) fmt
-
-let severity t = t.rule.Rule.severity
-
-let compare a b =
-  match Rule.compare_severity a.rule.Rule.severity b.rule.Rule.severity with
-  | 0 -> begin
-      match String.compare a.rule.Rule.id b.rule.Rule.id with
-      | 0 -> begin
-          match Option.compare String.compare a.loc b.loc with
-          | 0 -> String.compare a.detail b.detail
-          | c -> c
-        end
-      | c -> c
-    end
-  | c -> c
-
-let sort diags = List.sort compare diags
-
-let count sev diags =
-  List.length (List.filter (fun d -> severity d = sev) diags)
-
-let errors diags = List.filter (fun d -> severity d = Rule.Error) diags
-
-let rule_ids diags =
-  List.sort_uniq String.compare (List.map (fun d -> d.rule.Rule.id) diags)
-
-let pp ppf t =
-  Format.fprintf ppf "%s[%s]%s %s"
-    (Rule.severity_name t.rule.Rule.severity)
-    t.rule.Rule.id
-    (match t.loc with None -> "" | Some l -> " " ^ l ^ ":")
-    t.detail
+(* The verifier's findings are the shared core's; this alias keeps the
+   name [Verify.Diagnostic] that perfbench/ uses. *)
+include Diag

@@ -1,22 +1,9 @@
-exception
-  Rejected of {
-    what : string;                   (* artifact name, e.g. "spiral 8-bit" *)
-    diagnostics : Diagnostic.t list; (* full sorted run, not only errors *)
-  }
+exception Rejected = Diag.Rejected
 
-let () =
-  Printexc.register_printer (function
-    | Rejected { what; diagnostics } ->
-      let shown =
-        List.filteri (fun i _ -> i < 8) (Diagnostic.errors diagnostics)
-      in
-      Some
-        (Format.asprintf "@[<v>Verify.Engine.Rejected (%s): %s%a@]" what
-           (Report.summary_line diagnostics)
-           (Format.pp_print_list ~pp_sep:(fun _ () -> ())
-              (fun ppf d -> Format.fprintf ppf "@,  %a" Diagnostic.pp d))
-           shown)
-    | _ -> None)
+let rules =
+  Diag.catalogue ~owner:"Verify.Engine"
+    (Place_rules.rules @ Route_rules.rules @ Tech_rules.rules
+     @ Style_rules.rules @ Lvs_rules.rules)
 
 (* Each stage checker is wrapped in a telemetry span and feeds the
    per-rule fire counters, so both lint runs and flow-gate runs show up
@@ -25,8 +12,8 @@ let instrumented artifact diags =
   if Telemetry.Metrics.enabled () then begin
     Telemetry.Metrics.incr ~label:artifact "verify/checks_total";
     List.iter
-      (fun (d : Diagnostic.t) ->
-         Telemetry.Metrics.incr ~label:d.Diagnostic.rule.Rule.id
+      (fun (d : Diag.t) ->
+         Telemetry.Metrics.incr ~label:d.Diag.rule.Diag.id
            "verify/rule_fired_total")
       diags
   end;
@@ -55,19 +42,7 @@ let check_artifacts (layout : Ccroute.Layout.t) =
   @ check_placement tech layout.Ccroute.Layout.placement
   @ check_layout layout
 
-let has_errors diags =
-  List.exists (fun d -> Diagnostic.severity d = Rule.Error) diags
-
-let worst diags =
-  List.fold_left
-    (fun acc d ->
-       match acc with
-       | None -> Some (Diagnostic.severity d)
-       | Some s ->
-         if Rule.compare_severity (Diagnostic.severity d) s < 0 then
-           Some (Diagnostic.severity d)
-         else acc)
-    None diags
+let has_errors diags = Diag.errors diags <> []
 
 let lint_placement ?parallel ?(tech = Tech.Process.finfet_12nm) placement =
   let pre = check_tech tech @ check_placement tech placement in
@@ -93,17 +68,4 @@ let lint ?parallel ?(tech = Tech.Process.finfet_12nm) ~bits style =
     end
   end
 
-let gate ?(werror = false) diags =
-  let disqualifying d =
-    match Diagnostic.severity d with
-    | Rule.Error -> true
-    | Rule.Warning -> werror
-    | Rule.Info -> false
-  in
-  if List.exists disqualifying diags then Error (Diagnostic.sort diags)
-  else Ok ()
-
-let assert_clean ?werror ?(what = "artifact") diags =
-  match gate ?werror diags with
-  | Ok () -> ()
-  | Error diagnostics -> raise (Rejected { what; diagnostics })
+let assert_clean = Diag.assert_clean

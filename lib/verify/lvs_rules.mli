@@ -6,22 +6,22 @@
     round — the registry stays free of geometry). *)
 
 (** ["lvs/short"] *)
-val r_short : Rule.t
+val r_short : Diag.rule
 
 (** ["lvs/open"] *)
-val r_open : Rule.t
+val r_open : Diag.rule
 
 (** ["lvs/floating-cell"] *)
-val r_floating_cell : Rule.t
+val r_floating_cell : Diag.rule
 
 (** ["lvs/dangling"] — warning severity *)
-val r_dangling : Rule.t
+val r_dangling : Diag.rule
 
 (** ["lvs/top-open"] *)
-val r_top_open : Rule.t
+val r_top_open : Diag.rule
 
 (** ["lvs/netbuild-mismatch"] *)
-val r_netbuild_mismatch : Rule.t
+val r_netbuild_mismatch : Diag.rule
 
 (** Every rule this module owns. *)
-val rules : Rule.t list
+val rules : Diag.rule list

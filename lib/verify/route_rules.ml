@@ -1,41 +1,5 @@
-let route rule_id doc =
-  Rule.make ~id:("route/" ^ rule_id) ~category:Rule.Routing
-    ~severity:Rule.Error ~doc
-
-let r_wire_in_outline =
-  route "wire-in-outline"
-    "Every wire (bottom and top plate) must lie inside the routed block's \
-     outline."
-
-let r_via_in_outline =
-  route "via-in-outline" "Every logical via must lie inside the outline."
-
-let r_trunk_in_channel =
-  route "trunk-in-channel"
-    "Every trunk must sit inside the x extent of the channel its track \
-     belongs to."
-
-let r_track_separation =
-  route "track-separation"
-    "Two trunks sharing a channel must be at least half the sum of their \
-     bundle widths apart."
-
-let r_net_routed = route "net-routed" "Every capacitor must have a trunk."
-
-let r_net_coverage =
-  route "net-coverage"
-    "The connected groups of each capacitor's net must cover exactly its \
-     placed cells."
-
-let r_parallel_consistency =
-  route "parallel-consistency"
-    "Bundle widths recorded on wires and vias must match the declared \
-     parallel-wire plan."
-
-let r_reserved_direction =
-  route "reserved-direction"
-    "Wires must respect their layer's reserved direction (trunks vertical, \
-     bridges and stubs horizontal)."
+let route id doc =
+  { Diag.id = "route/" ^ id; category = "routing"; severity = Diag.Error; doc }
 
 let r_extent =
   route "extent" "The routed block must have strictly positive width and \
@@ -50,41 +14,14 @@ let r_parallel_positive =
   route "parallel-positive"
     "Every capacitor's parallel-wire count must be at least 1."
 
-let r_unknown =
-  route "check"
-    "Fallback for a post-route check the registry does not know by id; \
-     treated as an error."
-
 let rules =
-  [ r_wire_in_outline; r_via_in_outline; r_trunk_in_channel;
-    r_track_separation; r_net_routed; r_net_coverage; r_parallel_consistency;
-    r_reserved_direction; r_extent; r_top_plate; r_parallel_positive;
-    r_unknown ]
-
-let of_check_id = function
-  | "wire-in-outline" -> r_wire_in_outline
-  | "via-in-outline" -> r_via_in_outline
-  | "trunk-in-channel" -> r_trunk_in_channel
-  | "track-separation" -> r_track_separation
-  | "net-routed" -> r_net_routed
-  | "net-coverage" -> r_net_coverage
-  | "parallel-consistency" -> r_parallel_consistency
-  | "reserved-direction" -> r_reserved_direction
-  | _ -> r_unknown
-
-let of_violation (v : Ccroute.Check.violation) =
-  let rule = of_check_id v.Ccroute.Check.rule in
-  let detail =
-    if rule == r_unknown then
-      Printf.sprintf "[%s] %s" v.Ccroute.Check.rule v.Ccroute.Check.detail
-    else v.Ccroute.Check.detail
-  in
-  Diagnostic.make rule detail
+  Ccroute.Check.rules @ [ r_extent; r_top_plate; r_parallel_positive ]
 
 let check_extensions (layout : Ccroute.Layout.t) =
   let out = ref [] in
   let emit rule ?loc fmt =
-    Printf.ksprintf (fun d -> out := Diagnostic.make ?loc rule d :: !out) fmt
+    let loc = Option.map (fun l -> Diag.Element l) loc in
+    Printf.ksprintf (fun d -> out := Diag.make ?loc rule d :: !out) fmt
   in
   if not (layout.Ccroute.Layout.width > 0. && layout.Ccroute.Layout.height > 0.)
   then
@@ -110,4 +47,4 @@ let check_extensions (layout : Ccroute.Layout.t) =
   List.rev !out
 
 let check layout =
-  List.map of_violation (Ccroute.Check.run layout) @ check_extensions layout
+  Ccroute.Check.run layout @ check_extensions layout

@@ -1,49 +1,18 @@
-(** Routing rules: the {!Ccroute.Check} post-route invariants absorbed
-    into the registry, plus layout-level extensions (positive extent,
-    routed top plate, valid parallel-wire plan). *)
-
-(** ["route/wire-in-outline"] *)
-val r_wire_in_outline : Rule.t
-
-(** ["route/via-in-outline"] *)
-val r_via_in_outline : Rule.t
-
-(** ["route/trunk-in-channel"] *)
-val r_trunk_in_channel : Rule.t
-
-(** ["route/track-separation"] *)
-val r_track_separation : Rule.t
-
-(** ["route/net-routed"] *)
-val r_net_routed : Rule.t
-
-(** ["route/net-coverage"] *)
-val r_net_coverage : Rule.t
-
-(** ["route/parallel-consistency"] *)
-val r_parallel_consistency : Rule.t
-
-(** ["route/reserved-direction"] *)
-val r_reserved_direction : Rule.t
+(** Routing rules: the {!Ccroute.Check} post-route invariants plus
+    layout-level extensions (positive extent, routed top plate, valid
+    parallel-wire plan). *)
 
 (** ["route/extent"] *)
-val r_extent : Rule.t
+val r_extent : Diag.rule
 
 (** ["route/top-plate"] *)
-val r_top_plate : Rule.t
+val r_top_plate : Diag.rule
 
 (** ["route/parallel-positive"] *)
-val r_parallel_positive : Rule.t
+val r_parallel_positive : Diag.rule
 
-(** ["route/check"] — fallback for a
-    {!Ccroute.Check} rule id the registry does not know yet *)
-val r_unknown : Rule.t
-
-(** Every rule this module owns. *)
-val rules : Rule.t list
-
-(** [of_violation v] maps a {!Ccroute.Check.violation} into the registry. *)
-val of_violation : Ccroute.Check.violation -> Diagnostic.t
+(** {!Ccroute.Check.rules} plus the extensions. *)
+val rules : Diag.rule list
 
 (** [check layout] runs {!Ccroute.Check.run} plus the extensions. *)
-val check : Ccroute.Layout.t -> Diagnostic.t list
+val check : Ccroute.Layout.t -> Diag.t list

@@ -1,37 +1,34 @@
+let style id severity doc = { Diag.id; category = "style"; severity; doc }
+
 let r_bits =
-  Rule.make ~id:"style/bits-range" ~category:Rule.Style ~severity:Rule.Error
-    ~doc:
-      (Printf.sprintf
+  style "style/bits-range" Diag.Error
+    (Printf.sprintf
          "The DAC resolution must lie in [1, %d] (the binary-weight table's \
           supported range)."
          Ccgrid.Weights.max_bits)
 
 let r_core_bits =
-  Rule.make ~id:"style/block-core-bits" ~category:Rule.Style
-    ~severity:Rule.Error
-    ~doc:
-      "A block-chessboard core must hold at least C_0..C_1 and leave at \
-       least one MSB outside: core_bits in [1, bits - 1]."
+  style "style/block-core-bits" Diag.Error
+    "A block-chessboard core must hold at least C_0..C_1 and leave at \
+     least one MSB outside: core_bits in [1, bits - 1]."
 
 let r_granularity =
-  Rule.make ~id:"style/block-granularity" ~category:Rule.Style
-    ~severity:Rule.Error
-    ~doc:"A block-chessboard granularity (cells per block side) must be >= 1."
+  style "style/block-granularity" Diag.Error
+    "A block-chessboard granularity (cells per block side) must be >= 1."
 
 let r_unswept =
-  Rule.make ~id:"style/block-granularity-unswept" ~category:Rule.Style
-    ~severity:Rule.Warning
-    ~doc:
-      "The granularity is outside the set swept by the paper's tables \
-       (powers of two capped by the MSB block count); results for it are \
-       unstudied."
+  style "style/block-granularity-unswept" Diag.Warning
+    "The granularity is outside the set swept by the paper's tables \
+     (powers of two capped by the MSB block count); results for it are \
+     unstudied."
 
 let rules = [ r_bits; r_core_bits; r_granularity; r_unswept ]
 
 let check ~bits style =
   let out = ref [] in
   let emit rule ?loc fmt =
-    Printf.ksprintf (fun d -> out := Diagnostic.make ?loc rule d :: !out) fmt
+    let loc = Option.map (fun l -> Diag.Element l) loc in
+    Printf.ksprintf (fun d -> out := Diag.make ?loc rule d :: !out) fmt
   in
   let bits_ok = bits >= 1 && bits <= Ccgrid.Weights.max_bits in
   if not bits_ok then

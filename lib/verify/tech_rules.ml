@@ -1,44 +1,40 @@
+let tech id severity doc = { Diag.id; category = "tech"; severity; doc }
+
 let r_resistance =
-  Rule.make ~id:"tech/positive-resistance" ~category:Rule.Tech
-    ~severity:Rule.Error
-    ~doc:
-      "Via, plate and per-layer sheet resistances must be strictly positive \
-       (the RC network is singular otherwise)."
+  tech "tech/positive-resistance" Diag.Error
+    "Via, plate and per-layer sheet resistances must be strictly positive \
+     (the RC network is singular otherwise)."
 
 let r_capacitance =
-  Rule.make ~id:"tech/positive-capacitance" ~category:Rule.Tech
-    ~severity:Rule.Error
-    ~doc:
-      "The unit capacitance must be strictly positive; per-layer area and \
-       coupling capacitances and the top-substrate capacitance must be \
-       non-negative."
+  tech "tech/positive-capacitance" Diag.Error
+    "The unit capacitance must be strictly positive; per-layer area and \
+     coupling capacitances and the top-substrate capacitance must be \
+     non-negative."
 
 let r_geometry =
-  Rule.make ~id:"tech/geometry" ~category:Rule.Tech ~severity:Rule.Error
-    ~doc:
-      "Cell width/height and wire pitch must be strictly positive, cell \
-       spacing non-negative, and the wire pitch smaller than the cell width \
-       (channel tracks must fit next to a cell)."
+  tech "tech/geometry" Diag.Error
+    "Cell width/height and wire pitch must be strictly positive, cell \
+     spacing non-negative, and the wire pitch smaller than the cell width \
+     (channel tracks must fit next to a cell)."
 
 let r_stack =
-  Rule.make ~id:"tech/layer-stack" ~category:Rule.Tech ~severity:Rule.Error
-    ~doc:
-      "The metal stack must list M1, M2 and M3 exactly once each, in \
-       monotone bottom-up order."
+  tech "tech/layer-stack" Diag.Error
+    "The metal stack must list M1, M2 and M3 exactly once each, in \
+     monotone bottom-up order."
 
 let r_statistics =
-  Rule.make ~id:"tech/statistics" ~category:Rule.Tech ~severity:Rule.Error
-    ~doc:
-      "Statistical parameters must be sane: 0 <= rho_u < 1, a strictly \
-       positive correlation length, non-negative gradient slope and mismatch \
-       coefficient, and a finite gradient angle."
+  tech "tech/statistics" Diag.Error
+    "Statistical parameters must be sane: 0 <= rho_u < 1, a strictly \
+     positive correlation length, non-negative gradient slope and mismatch \
+     coefficient, and a finite gradient angle."
 
 let rules = [ r_resistance; r_capacitance; r_geometry; r_stack; r_statistics ]
 
 let check (tech : Tech.Process.t) =
   let out = ref [] in
   let emit rule ?loc fmt =
-    Printf.ksprintf (fun d -> out := Diagnostic.make ?loc rule d :: !out) fmt
+    let loc = Option.map (fun l -> Diag.Element l) loc in
+    Printf.ksprintf (fun d -> out := Diag.make ?loc rule d :: !out) fmt
   in
   let layer_loc (l : Tech.Layer.t) =
     Format.asprintf "%a" Tech.Layer.pp_name l.Tech.Layer.name

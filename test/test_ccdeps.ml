@@ -21,7 +21,7 @@ let summarize ~lib ~modname src =
 (* The exact (sorted, deduplicated) rule-id set a fixture fires. *)
 let check_ids what expected diags =
   Alcotest.(check (list string)) what expected
-    (Srclint.Diagnostic.rule_ids diags)
+    (Diag.rule_ids diags)
 
 let run_typed ~manifest mods =
   let libs =
@@ -65,12 +65,13 @@ let test_taint_chain () =
     (List.length diags);
   let kernel_diag =
     List.find
-      (fun (d : Srclint.Diagnostic.t) -> d.Srclint.Diagnostic.line = 5)
+      (fun d ->
+         let _, line, _ = Srclint.Source.position d in
+         line = 5)
       diags
   in
   Alcotest.(check bool) "detail names the full call chain" true
-    (let open Srclint.Diagnostic in
-     let contains ~sub s =
+    (let contains ~sub s =
        let n = String.length sub in
        let rec go i =
          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
@@ -79,7 +80,7 @@ let test_taint_chain () =
      in
      contains
        ~sub:"Fixkern.kernel -> Fixkern.mid -> Fixkern.Impl.stamp -> Sys.time"
-       kernel_diag.detail)
+       kernel_diag.Diag.detail)
 
 let test_taint_clean () =
   let manifest = manifest_exn "layer fixkern 0\npure fixkern : fixture" in
@@ -259,7 +260,7 @@ let test_registry_has_typed_rules () =
   List.iter
     (fun id ->
        Alcotest.(check bool) (id ^ " registered") true
-         (List.mem id Srclint.Registry.ids))
+         (Diag.find Srclint.Engine.rules id <> None))
     [ "int/taint-wall-clock"; "int/taint-random"; "int/taint-getenv";
       "int/taint-gc"; "int/taint-print"; "int/domain-escape";
       "arch/layer-violation"; "arch/forbidden-dep"; "arch/layer-cycle";
@@ -315,11 +316,11 @@ let test_typed_allowlist_exemption () =
   in
   let off = Srclint.Engine.run ~allowlist ~root:dir () in
   Alcotest.(check (list string)) "pass off: typed entry not stale" []
-    (Srclint.Diagnostic.rule_ids off.Srclint.Engine.diagnostics);
+    (Diag.rule_ids off.Srclint.Engine.diagnostics);
   let on = Srclint.Engine.run ~allowlist ~typed:[] ~root:dir () in
   Alcotest.(check (list string)) "pass ran clean: typed entry is stale"
     [ "meta/stale-suppression" ]
-    (Srclint.Diagnostic.rule_ids on.Srclint.Engine.diagnostics);
+    (Diag.rule_ids on.Srclint.Engine.diagnostics);
   Sys.remove src_path;
   Sys.rmdir (Filename.concat dir "lib");
   Sys.rmdir dir

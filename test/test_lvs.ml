@@ -13,7 +13,7 @@ let layout_of ?p_of_cap style bits =
 
 let spiral6 = layout_of Ccplace.Style.Spiral 6
 
-let fired diags = Verify.Diagnostic.rule_ids diags
+let fired diags = Diag.rule_ids diags
 
 let check_fired what expected diags =
   Alcotest.(check (list string)) what expected (fired diags)
@@ -101,7 +101,7 @@ let assert_clean what l =
   match Lvs.Check.check l with
   | [] -> ()
   | diags ->
-    Alcotest.failf "%s not LVS-clean:\n%s" what (Verify.Report.text diags)
+    Alcotest.failf "%s not LVS-clean:\n%s" what (Diag.text diags)
 
 let test_clean_sweep () =
   (* implicitly also the Netbuild cross-check agreement criterion: the
@@ -433,38 +433,42 @@ let test_trunk_channels_consistent () =
     (sweep_styles 8)
 
 let test_check_order_and_tally () =
-  let v rule detail = { Ccroute.Check.rule; detail } in
-  let vs = [ v "b" "2"; v "a" "z"; v "b" "1"; v "a" "a" ] in
-  let sorted = List.sort Ccroute.Check.compare_violation vs in
+  (* Ccroute.Check.run returns its findings in Diag order: rule id, then
+     detail *)
+  let a = Ccroute.Check.r_net_coverage and b = Ccroute.Check.r_net_routed in
+  let v rule detail = Diag.make rule detail in
+  let vs = [ v b "2"; v a "z"; v b "1"; v a "a" ] in
   Alcotest.(check (list (pair string string)))
     "sorted by rule then detail"
-    [ ("a", "a"); ("a", "z"); ("b", "1"); ("b", "2") ]
+    [ (a.Diag.id, "a"); (a.Diag.id, "z"); (b.Diag.id, "1"); (b.Diag.id, "2") ]
     (List.map
-       (fun (x : Ccroute.Check.violation) ->
-          (x.Ccroute.Check.rule, x.Ccroute.Check.detail))
-       sorted);
+       (fun (x : Diag.t) -> (x.Diag.rule.Diag.id, x.Diag.detail))
+       (Diag.sort vs));
   Alcotest.(check (list (pair string int)))
     "tally in rule order"
-    [ ("a", 2); ("b", 2) ]
-    (Ccroute.Check.by_rule sorted);
-  Alcotest.(check (list (pair string int))) "empty tally" []
-    (Ccroute.Check.by_rule []);
+    [ (a.Diag.id, 2); (b.Diag.id, 2) ]
+    (Diag.tally vs);
+  Alcotest.(check (list (pair string int))) "empty tally" [] (Diag.tally []);
   Alcotest.(check int) "equal violations compare 0" 0
-    (Ccroute.Check.compare_violation (v "a" "x") (v "a" "x"));
+    (Diag.compare (v a "x") (v a "x"));
   Alcotest.(check bool) "rule dominates detail" true
-    (Ccroute.Check.compare_violation (v "a" "z") (v "b" "a") < 0)
+    (Diag.compare (v a "z") (v b "a") < 0)
 
 (* --- lvs/* registry entries --- *)
 
 let test_lvs_rules_registered () =
-  let lvs_rules = Verify.Registry.by_category Verify.Rule.Lvs in
+  let lvs_rules =
+    List.filter
+      (fun (r : Diag.rule) -> String.equal r.Diag.category "lvs")
+      Verify.Engine.rules
+  in
   Alcotest.(check (list string))
     "catalogued"
     [ "lvs/dangling"; "lvs/floating-cell"; "lvs/netbuild-mismatch";
       "lvs/open"; "lvs/short"; "lvs/top-open" ]
-    (List.map (fun (r : Verify.Rule.t) -> r.Verify.Rule.id) lvs_rules);
+    (Diag.ids lvs_rules);
   Alcotest.(check bool) "dangling is a warning" true
-    (Verify.Lvs_rules.r_dangling.Verify.Rule.severity = Verify.Rule.Warning)
+    (Verify.Lvs_rules.r_dangling.Diag.severity = Diag.Warning)
 
 let () =
   let open Alcotest in

@@ -27,7 +27,7 @@ let cell_of p k = List.hd (Ccgrid.Placement.cells_of p k)
 let set (p : Ccgrid.Placement.t) (c : Ccgrid.Cell.t) id =
   p.Ccgrid.Placement.assign.(c.Ccgrid.Cell.row).(c.Ccgrid.Cell.col) <- id
 
-let fired diags = Verify.Diagnostic.rule_ids diags
+let fired diags = Diag.rule_ids diags
 
 let check_fired what expected diags =
   Alcotest.(check (list string)) what expected (fired diags)
@@ -35,7 +35,7 @@ let check_fired what expected diags =
 (* --- registry --- *)
 
 let test_registry_unique_sorted () =
-  let ids = Verify.Registry.ids in
+  let ids = Diag.ids Verify.Engine.rules in
   Alcotest.(check (list string)) "sorted and unique"
     (List.sort_uniq String.compare ids)
     ids;
@@ -43,35 +43,42 @@ let test_registry_unique_sorted () =
 
 let test_registry_find () =
   Alcotest.(check bool) "finds place/centroid" true
-    (Verify.Registry.find "place/centroid" <> None);
+    (Diag.find Verify.Engine.rules "place/centroid" <> None);
   Alcotest.(check bool) "unknown id" true
-    (Verify.Registry.find "place/no-such-rule" = None)
+    (Diag.find Verify.Engine.rules "place/no-such-rule" = None);
+  (* the post-route checker emits registry rules directly, so there is
+     no fallback rule for ids the registry does not know *)
+  Alcotest.(check bool) "no route/check fallback" true
+    (Diag.find Verify.Engine.rules "route/check" = None)
 
 let test_registry_docs () =
   List.iter
-    (fun (r : Verify.Rule.t) ->
-       Alcotest.(check bool) (r.Verify.Rule.id ^ " documented") true
-         (String.length r.Verify.Rule.doc > 10))
-    Verify.Registry.all
+    (fun (r : Diag.rule) ->
+       Alcotest.(check bool) (r.Diag.id ^ " documented") true
+         (String.length r.Diag.doc > 10))
+    Verify.Engine.rules
 
 let test_registry_categories () =
   List.iter
     (fun (cat, prefix) ->
-       let rules = Verify.Registry.by_category cat in
+       let rules =
+         List.filter
+           (fun (r : Diag.rule) -> String.equal r.Diag.category cat)
+           Verify.Engine.rules
+       in
        Alcotest.(check bool)
          (prefix ^ " rules present") true
          (rules <> []);
        List.iter
-         (fun (r : Verify.Rule.t) ->
+         (fun (r : Diag.rule) ->
             Alcotest.(check bool)
-              (r.Verify.Rule.id ^ " prefixed " ^ prefix)
+              (r.Diag.id ^ " prefixed " ^ prefix)
               true
-              (String.length r.Verify.Rule.id > String.length prefix
-               && String.sub r.Verify.Rule.id 0 (String.length prefix) = prefix))
+              (String.length r.Diag.id > String.length prefix
+               && String.sub r.Diag.id 0 (String.length prefix) = prefix))
          rules)
-    [ (Verify.Rule.Placement, "place/"); (Verify.Rule.Routing, "route/");
-      (Verify.Rule.Tech, "tech/"); (Verify.Rule.Style, "style/");
-      (Verify.Rule.Lvs, "lvs/") ]
+    [ ("placement", "place/"); ("routing", "route/"); ("tech", "tech/");
+      ("style", "style/"); ("lvs", "lvs/") ]
 
 (* --- clean paths --- *)
 
@@ -84,7 +91,7 @@ let test_lint_all_styles_clean () =
          | [] -> ()
          | diags ->
            Alcotest.failf "%s %d-bit: %s" (Ccplace.Style.name style) bits
-             (Verify.Report.text diags))
+             (Diag.text diags))
       (Ccplace.Style.Spiral :: Ccplace.Style.Chessboard :: Ccplace.Style.Rowwise
        :: Ccplace.Style.block_family ~bits)
   done
@@ -159,9 +166,9 @@ let test_dispersion_bound () =
   in
   check_fired "tight bound" [ "place/dispersion" ] diags;
   Alcotest.(check bool) "warning only, passes gate" true
-    (Result.is_ok (Verify.Engine.gate diags));
+    (Result.is_ok (Diag.gate diags));
   Alcotest.(check bool) "werror promotes" true
-    (Result.is_error (Verify.Engine.gate ~werror:true diags))
+    (Result.is_error (Diag.gate ~werror:true diags))
 
 (* --- corrupted tech --- *)
 
@@ -209,7 +216,7 @@ let test_unswept_granularity () =
   in
   check_fired "unswept granularity" [ "style/block-granularity-unswept" ] diags;
   Alcotest.(check bool) "warning only" true
-    (Result.is_ok (Verify.Engine.gate diags))
+    (Result.is_ok (Diag.gate diags))
 
 (* --- corrupted layouts (through the registry) --- *)
 
@@ -275,25 +282,32 @@ let test_flow_rejected_payload () =
     Alcotest.(check bool) "names artifact" true
       (String.length what > 0);
     Alcotest.(check bool) "carries errors" true
-      (Verify.Engine.has_errors diagnostics)
+      (Diag.errors diagnostics <> [])
 
 (* --- engine helpers --- *)
 
 let test_gate_and_worst () =
-  Alcotest.(check bool) "clean gate" true (Result.is_ok (Verify.Engine.gate []));
-  Alcotest.(check bool) "no worst" true (Verify.Engine.worst [] = None);
+  Alcotest.(check bool) "clean gate" true (Result.is_ok (Diag.gate []));
   let p = clone spiral6p in
   set p (cell_of p 3) 2;
   let diags = Verify.Engine.check_placement tech p in
+  (* a failing gate returns the run sorted most severe first *)
   Alcotest.(check bool) "worst is error" true
-    (Verify.Engine.worst diags = Some Verify.Rule.Error)
+    (match Diag.gate diags with
+     | Error (d :: _) -> Diag.severity d = Diag.Error
+     | Error [] | Ok () -> false)
 
 let test_report_text_and_json () =
   let p = clone spiral6p in
   set p (cell_of p 3) 2;
   let diags = Verify.Engine.check_placement tech p in
-  let text = Verify.Report.text diags in
-  let json = Verify.Report.json ~label:"corrupted \"spiral\"" diags in
+  let text = Diag.text diags in
+  let json =
+    Telemetry.Json.to_string
+      (Diag.to_json
+         ~head:[ ("label", Telemetry.Json.Str "corrupted \"spiral\"") ]
+         diags)
+  in
   Alcotest.(check bool) "text has rule id" true
     (contains text "place/cell-count");
   Alcotest.(check bool) "json has version" true
@@ -315,9 +329,9 @@ let test_all_styles_clean () =
          in
          match Ccroute.Check.run layout with
          | [] -> ()
-         | v :: _ ->
+         | d :: _ ->
            Alcotest.failf "%s %d-bit: %s" (Ccplace.Style.name style) bits
-             (Format.asprintf "%a" Ccroute.Check.pp_violation v))
+             (Format.asprintf "%a" Diag.pp d))
       (Ccplace.Style.Spiral :: Ccplace.Style.Chessboard :: Ccplace.Style.Rowwise
        :: Ccplace.Style.block_family ~bits)
   done
@@ -332,12 +346,9 @@ let test_detects_corrupted_parallel () =
   let corrupted =
     { spiral6 with Ccroute.Layout.vias = bad_via :: spiral6.Ccroute.Layout.vias }
   in
-  let violations = Ccroute.Check.run corrupted in
   Alcotest.(check bool) "parallel-consistency caught" true
-    (List.exists
-       (fun (v : Ccroute.Check.violation) ->
-          v.Ccroute.Check.rule = "parallel-consistency")
-       violations)
+    (List.mem "route/parallel-consistency"
+       (fired (Ccroute.Check.run corrupted)))
 
 let test_detects_escaping_wire () =
   let bad_wire =
@@ -349,12 +360,8 @@ let test_detects_escaping_wire () =
     { spiral6 with
       Ccroute.Layout.wires = bad_wire :: spiral6.Ccroute.Layout.wires }
   in
-  let violations = Ccroute.Check.run corrupted in
   Alcotest.(check bool) "wire-in-outline caught" true
-    (List.exists
-       (fun (v : Ccroute.Check.violation) ->
-          v.Ccroute.Check.rule = "wire-in-outline")
-       violations)
+    (List.mem "route/wire-in-outline" (fired (Ccroute.Check.run corrupted)))
 
 let test_run_sorted_deterministic () =
   (* two distinct rules corrupted at once: output must come back sorted *)
@@ -370,11 +377,11 @@ let test_run_sorted_deterministic () =
       wires = bad_wire :: spiral6.Ccroute.Layout.wires }
   in
   let violations = Ccroute.Check.run corrupted in
-  let rules = List.map (fun v -> v.Ccroute.Check.rule) violations in
+  let rules = List.map (fun (d : Diag.t) -> d.Diag.rule.Diag.id) violations in
   Alcotest.(check (list string)) "rule-id sorted"
     (List.sort String.compare rules)
     rules;
-  let tally = Ccroute.Check.by_rule violations in
+  let tally = Diag.tally violations in
   Alcotest.(check bool) "tally covers every rule" true
     (List.length tally = List.length (List.sort_uniq String.compare rules))
 
